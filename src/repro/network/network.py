@@ -183,7 +183,7 @@ class WirelessNetwork:
             return []
         neighbors = self.topology.neighbors(src)
         tx = self.energy_model.tx_cost(message.size_bits, self.radio.range_m)
-        self._charge(src, tx)
+        self.charge(src, tx)
         energy_counter = self.monitor.counter("net.energy_j")
         energy_counter.add(tx)
         loss = self.radio.loss_prob
@@ -199,7 +199,7 @@ class WirelessNetwork:
         for nbr in delivered:
             # per-receiver scalar adds: n IEEE754 additions are not rx*n,
             # and the counter's accumulation order is pinned by tests
-            self._charge(nbr, rx)
+            self.charge(nbr, rx)
             energy_counter.add(rx)
         if delivered:
             # one fan-out event instead of one heap push per receiver:
@@ -263,14 +263,14 @@ class WirelessNetwork:
         dist = self.topology.distance(current, nxt)
         tx = self.energy_model.tx_cost(message.size_bits, dist)
         rx = self.energy_model.rx_cost(message.size_bits)
-        self._charge(current, tx)
+        self.charge(current, tx)
         self.monitor.counter("net.energy_j").add(tx)
 
         if self.radio.loss_prob and self.rng.random() < self.radio.loss_prob:
             self._drop(message, energy_so_far + tx, on_complete, "loss", span)
             return
 
-        self._charge(nxt, rx)
+        self.charge(nxt, rx)
         self.monitor.counter("net.energy_j").add(rx)
         message.hops.append(nxt)
         if self.tracer.enabled:
@@ -333,7 +333,12 @@ class WirelessNetwork:
         """Record the topology's route-cache stats into this monitor."""
         record_route_cache_metrics(self.topology, self.monitor)
 
-    def _charge(self, node_id: int, joules: float) -> None:
+    def charge(self, node_id: int, joules: float) -> None:
+        """Draw ``joules`` from a node's battery.
+
+        A draw that depletes the battery of a living node kills it in the
+        topology and counts it under ``net.node_deaths``.
+        """
         battery = self.nodes[node_id].battery
         alive = battery.draw(joules)
         if not alive and self.topology.is_alive(node_id):

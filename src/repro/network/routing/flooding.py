@@ -7,7 +7,6 @@ baseline that gossip and trees improve on.
 
 from __future__ import annotations
 
-
 import numpy as np
 
 from repro.network.energy import RadioEnergyModel
@@ -30,7 +29,15 @@ class Flooding:
         self.energy_model = energy_model
 
     def disseminate(self, root: int, bits: float) -> DisseminationResult:
-        """Flood ``bits`` from ``root``; return exact lossless-cost result."""
+        """Flood ``bits`` from ``root``; return exact lossless-cost result.
+
+        Every reached node broadcasts once (``tx``) and each of its living
+        neighbors overhears it (``rx``).  The charges are laid out in one
+        array -- per reached node, its own ``tx`` then an ``rx`` for each
+        ascending neighbor -- and applied with :func:`numpy.add.at`, which
+        adds sequentially, so every node's total is summed in the same
+        order as a per-edge loop over ``reached``.
+        """
         topo = self.topology
         per_node = np.zeros(topo.n_nodes)
         hops = topo.hop_counts_from(root)
@@ -38,20 +45,29 @@ class Flooding:
 
         tx = self.energy_model.tx_cost(bits, self.radio.range_m)
         rx = self.energy_model.rx_cost(bits)
-        messages = 0
-        for node in reached:
-            # every reached node broadcasts exactly once...
-            per_node[node] += tx
-            messages += 1
-            # ...and every living neighbor overhears it.
-            for nbr in topo.neighbors(node):
-                per_node[nbr] += rx
+        csr = topo.csr
+        nodes = np.fromiter(reached, dtype=np.intp, count=len(reached))
+        starts = csr.indptr[nodes]
+        degree = csr.indptr[nodes + 1] - starts
+        segment = degree + 1
+        # index of each reached node's own tx entry in the charge array
+        heads = np.cumsum(segment) - segment
+        total = int(segment.sum())
+        targets = np.empty(total, dtype=np.intp)
+        joules = np.full(total, rx)
+        targets[heads] = nodes
+        joules[heads] = tx
+        overhears = np.ones(total, dtype=bool)
+        overhears[heads] = False
+        targets[overhears] = csr.indices[
+            np.flatnonzero(overhears) + np.repeat(starts - heads - 1, degree)]
+        np.add.at(per_node, targets, joules)
 
         eccentricity = max(hops.values()) if hops else 0
         latency = eccentricity * self.radio.hop_time(bits)
         return DisseminationResult(
             reached=reached,
-            messages=messages,
+            messages=len(reached),
             energy_j=float(per_node.sum()),
             per_node_energy=per_node,
             latency_s=latency,

@@ -126,20 +126,6 @@ class GridHashIndex:
         ids = np.asarray(out, dtype=np.intp)
         return ids[ids != node]
 
-    def candidates_at(self, point: np.ndarray) -> np.ndarray:
-        """Ids in the 3x3 cell block around an arbitrary point."""
-        point = np.asarray(point, dtype=np.float64)
-        cx = int(np.floor(point[0] / self._cell))
-        cy = int(np.floor(point[1] / self._cell))
-        cells = self._cells
-        out: list[int] = []
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                bucket = cells.get((cx + dx, cy + dy))
-                if bucket:
-                    out.extend(bucket)
-        return np.asarray(out, dtype=np.intp)
-
     def neighbors_within(self, node: int, positions: np.ndarray) -> np.ndarray:
         """Exact unit-disc neighbors of ``node``: ``dist <= radius``, no self.
 

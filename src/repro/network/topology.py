@@ -27,28 +27,45 @@ Route cache
 Graph queries are memoized behind the :attr:`Topology.version` generation
 counter: ``kill``/``revive``/``move``/``block_links`` (mobility epochs,
 battery deaths, partitions) bump the counter, and the first query at a new
-generation discards every cached answer.  On an unchanged topology a
-relayed hop therefore answers its route query from a dict lookup instead
-of re-running BFS -- the dominant cost of E2/E3-style workloads, where
-every epoch rebuilds the same aggregation tree.
+generation discards every cached answer.
 
-Cached answers are bit-identical to uncached BFS: neighbor expansion
-visits node ids in increasing order, so the parent map of a full BFS
-agrees with the parent map of an early-stopped BFS on every node the
-latter discovered, and path reconstruction from either yields the same
-min-hop path.  Hit/miss/invalidation totals are kept on the topology
-(:attr:`route_cache_hits` and friends);
-:func:`repro.network.network.record_route_cache_metrics` folds them into
-a :class:`~repro.simkernel.monitor.Monitor` under the canonical
-``net.route_cache.*`` names.
+Within a generation, route queries read one CSR snapshot of the
+adjacency (:attr:`Topology.csr`), built lazily from the ascending
+neighbor rows -- ``np.nonzero`` of the dense matrix, or each node's
+neighbor list in grid mode -- as float64 data with int32
+``indptr``/``indices``, the form :mod:`scipy.sparse.csgraph` accepts
+without copying.  One C-level
+:func:`~scipy.sparse.csgraph.breadth_first_order` per (generation, root)
+yields the discovery order and predecessor array, cached as arrays;
+:meth:`Topology.shortest_path` walks the predecessors, and
+:meth:`Topology.bfs_tree` / :meth:`Topology.hop_counts_from` build their
+dicts from the arrays on each call.  On an unchanged topology a relayed
+hop therefore answers its route query without re-running BFS -- the
+dominant cost of E2/E3-style workloads, where every epoch rebuilds the
+same aggregation tree.
+
+Answers equal those of a pure-Python FIFO BFS that expands neighbors in
+increasing id order, dict order included: ``hop_counts_from`` lists nodes
+in BFS discovery order, root first, and ``bfs_tree`` lists them in
+discovery order with the root last.  Callers add per-node energy in dict
+iteration order, so the order is part of the contract.
+
+Hit/miss/invalidation totals are kept on the topology
+(:attr:`route_cache_hits` and friends).  A query misses the first time
+its answer form -- a parent map (``shortest_path``, ``bfs_tree``) or hop
+counts (``hop_counts_from``) -- is asked of a root in a generation, and
+hits afterwards.  :func:`repro.network.network.record_route_cache_metrics`
+folds the totals into a :class:`~repro.simkernel.monitor.Monitor` under
+the canonical ``net.route_cache.*`` names.
 """
 
 from __future__ import annotations
 
-import collections
 import typing
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import breadth_first_order
 
 from repro.network.geometry import (
     as_positions,
@@ -103,14 +120,19 @@ class Topology:
         self._nbr_cache_version = 0
         # route cache: all entries valid only for _cache_version == _version
         self._cache_version = 0
-        self._path_cache: dict[tuple[int, int], list[int] | None] = {}
-        self._parents_cache: dict[int, dict[int, int]] = {}
-        self._hops_cache: dict[int, dict[int, int]] = {}
+        self._csr: csr_matrix | None = None
+        # root -> (BFS discovery order, predecessor per node)
+        self._searches: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        # roots whose parent map was asked for (hit/miss accounting)
+        self._tree_roots: set[int] = set()
+        # root -> hop count of each node in its search's discovery order
+        self._hops_cache: dict[int, np.ndarray] = {}
         self._dist_cache: dict[tuple[int, int], float] = {}
-        #: Route queries (shortest path / BFS tree / hop counts) answered
-        #: from the cache without running BFS.
+        #: Route queries answered from an answer form (parent map or hop
+        #: counts) already cached for their root in this generation.
         self.route_cache_hits = 0
-        #: Route queries that ran BFS (and populated the cache).
+        #: Route queries that first asked their root for an answer form
+        #: in this generation.
         self.route_cache_misses = 0
         #: Times a topology change forced a non-empty cache to be discarded.
         self.route_cache_invalidations = 0
@@ -255,12 +277,13 @@ class Topology:
     def _route_cache(self) -> None:
         """Discard stale cached answers (lazy, on the next query)."""
         if self._cache_version != self._version:
-            if self._path_cache or self._parents_cache or self._hops_cache or self._dist_cache:
+            if self._searches or self._dist_cache:
                 self.route_cache_invalidations += 1
-                self._path_cache.clear()
-                self._parents_cache.clear()
+                self._searches.clear()
+                self._tree_roots.clear()
                 self._hops_cache.clear()
                 self._dist_cache.clear()
+            self._csr = None
             self._cache_version = self._version
 
     @property
@@ -360,94 +383,102 @@ class Topology:
             dists = np.where(self._alive, dists, np.inf)
         return int(np.argmin(dists))
 
+    @property
+    def csr(self) -> csr_matrix:
+        """CSR snapshot of the adjacency, built once per generation.
+
+        Rows list living neighbors in ascending id order; dead nodes
+        have empty rows.  Every route query of the generation shares the
+        snapshot, so callers must not modify it.
+        """
+        self._route_cache()
+        if self._csr is None:
+            n = self.n_nodes
+            if self._grid is None:
+                rows, cols = np.nonzero(self.adjacency)
+                counts = np.bincount(rows, minlength=n)
+            else:
+                nbrs = [self._neighbor_ids(node) for node in range(n)]
+                counts = np.fromiter((len(ids) for ids in nbrs), dtype=np.intp, count=n)
+                cols = np.concatenate(nbrs) if n else np.empty(0, dtype=np.intp)
+            indptr = np.zeros(n + 1, dtype=np.int32)
+            np.cumsum(counts, out=indptr[1:])
+            self._csr = csr_matrix(
+                (np.ones(len(cols)), cols.astype(np.int32), indptr), shape=(n, n))
+        return self._csr
+
+    def _search(self, root: int) -> tuple[np.ndarray, np.ndarray]:
+        """``(order, predecessors)`` of the BFS from ``root`` (cached)."""
+        found = self._searches.get(root)
+        if found is None:
+            found = breadth_first_order(self.csr, root, directed=True,
+                                        return_predecessors=True)
+            self._searches[root] = found
+        return found
+
+    def _parents_of(self, root: int) -> tuple[np.ndarray, np.ndarray]:
+        """The search behind a parent-map answer, with its accounting."""
+        self._route_cache()
+        if root in self._tree_roots:
+            self.route_cache_hits += 1
+        else:
+            self.route_cache_misses += 1
+            self._tree_roots.add(root)
+        return self._search(root)
+
     def shortest_path(self, src: int, dst: int) -> list[int] | None:
         """Min-hop path from src to dst via BFS, or None if partitioned.
 
-        Served from the route cache when the topology is unchanged since
-        the answer was computed; a cached answer is exactly what a fresh
-        BFS would return (deterministic lowest-id tie-breaking).
+        Walks the predecessor array of the cached BFS from ``src``; ties
+        between equal-length paths go to the lowest-id parent.
         """
         if src == dst:
             return [src]
         if not (self._alive[src] and self._alive[dst]):
             return None
-        self._route_cache()
-        key = (src, dst)
-        if key in self._path_cache:
-            self.route_cache_hits += 1
-            cached = self._path_cache[key]
-            return None if cached is None else list(cached)
-        parent = self._parents_cache.get(src)
-        if parent is None:
-            self.route_cache_misses += 1
-            parent = self._bfs_parents(src)
-            self._parents_cache[src] = parent
-        else:
-            self.route_cache_hits += 1
-        if dst not in parent:
-            self._path_cache[key] = None
+        _, pred = self._parents_of(src)
+        if pred.item(dst) < 0:
             return None
         path = [dst]
-        while path[-1] != src:
-            path.append(parent[path[-1]])
+        node = dst
+        while node != src:
+            node = pred.item(node)
+            path.append(node)
         path.reverse()
-        self._path_cache[key] = path
-        return list(path)
+        return path
 
     def hop_counts_from(self, root: int) -> dict[int, int]:
-        """BFS hop distance from ``root`` to every reachable living node."""
+        """BFS hop distance from ``root`` to every reachable living node.
+
+        Keys come in BFS discovery order, root first.
+        """
         self._route_cache()
+        order, pred = self._search(root)
         hops = self._hops_cache.get(root)
         if hops is None:
             self.route_cache_misses += 1
-            hops = {root: 0}
-            frontier = collections.deque([root])
-            while frontier:
-                u = frontier.popleft()
-                for v in self._neighbor_ids(u):
-                    v = int(v)
-                    if v not in hops:
-                        hops[v] = hops[u] + 1
-                        frontier.append(v)
+            level = {root: 0}
+            parents = pred.tolist()
+            for node in order[1:].tolist():
+                level[node] = level[parents[node]] + 1
+            hops = np.fromiter(level.values(), dtype=np.int32, count=len(level))
             self._hops_cache[root] = hops
         else:
             self.route_cache_hits += 1
-        return dict(hops)
+        return dict(zip(order.tolist(), hops.tolist()))
 
     def bfs_tree(self, root: int) -> dict[int, int]:
         """Parent map of a min-hop spanning tree rooted at ``root``.
 
         The root maps to itself.  Unreachable nodes are absent.  Ties
         between candidate parents are broken by lowest node id, making the
-        tree deterministic.
+        tree deterministic.  Keys come in BFS discovery order, root last.
         """
-        self._route_cache()
-        parent = self._parents_cache.get(root)
-        if parent is None:
-            self.route_cache_misses += 1
-            parent = self._bfs_parents(root)
-            self._parents_cache[root] = parent
-        else:
-            self.route_cache_hits += 1
-        tree = dict(parent)
+        order, pred = self._parents_of(root)
+        nodes = order[1:]
+        tree = dict(zip(nodes.tolist(), pred[nodes].tolist()))
         tree[root] = root
         return tree
-
-    def _bfs_parents(self, root: int, stop_at: int | None = None) -> dict[int, int]:
-        parent: dict[int, int] = {}
-        visited = {root}
-        frontier = collections.deque([root])
-        while frontier:
-            u = frontier.popleft()
-            for v in self._neighbor_ids(u):
-                v = int(v)
-                if v not in visited:
-                    visited.add(v)
-                    parent[v] = u
-                    if v == stop_at:
-                        return parent
-                    frontier.append(v)
-        return parent
 
     def is_connected(self, among: typing.Iterable[int] | None = None) -> bool:
         """True iff all living nodes (or ``among``) are mutually reachable."""

@@ -80,7 +80,8 @@ CONVENTIONS: dict[str, MetricSpec] = _catalog([
     MetricSpec("net.node_deaths", "counter", "1", "nodes killed by battery depletion"),
     MetricSpec("net.latency", "series", "s", "per-delivery end-to-end latency"),
     MetricSpec("net.route_cache.hits", "counter", "1", "route queries answered from cache"),
-    MetricSpec("net.route_cache.misses", "counter", "1", "route queries that ran a fresh BFS"),
+    MetricSpec("net.route_cache.misses", "counter", "1",
+               "first route query of a generation for a root's parent map or hop counts"),
     MetricSpec("net.route_cache.invalidations", "counter", "1",
                "cache flushes caused by topology changes"),
     # energy

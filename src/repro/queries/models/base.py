@@ -256,13 +256,10 @@ class ExecutionModel:
 
     def _charge(self, ctx: QueryContext, per_node_energy: np.ndarray, factor: float = 1.0) -> None:
         """Draw per-node radio energy from the batteries."""
-        topo = ctx.deployment.topology
+        network = ctx.deployment.network
         for node_id in np.flatnonzero(per_node_energy > 0.0):
             node_id = int(node_id)
-            battery = ctx.deployment.network.nodes[node_id].battery
-            alive = battery.draw(float(per_node_energy[node_id]) * factor)
-            if not alive and topo.is_alive(node_id):
-                topo.kill(node_id)
+            network.charge(node_id, float(per_node_energy[node_id]) * factor)
 
     def _sample_targets(self, ctx: QueryContext, targets: list[int]) -> list[Reading]:
         """Sample every target sensor (paying sense energy)."""

@@ -1,10 +1,11 @@
 """Route-cache correctness: cached answers must equal uncached BFS.
 
-The cache memoizes BFS parents/paths/hop-counts behind the topology's
-generation counter; every mutation (kill, revive, move, link blocking)
-bumps the counter and lazily flushes the cache.  These tests compare
-every cached answer against an independent pure-Python BFS oracle under
-heavy churn, and pin down the hit/miss/invalidation accounting.
+The cache memoizes one BFS per root (discovery order and predecessors)
+behind the topology's generation counter; every mutation (kill, revive,
+move, link blocking) bumps the counter and lazily flushes the cache.
+These tests compare every cached answer, dict order included, against an
+independent pure-Python BFS oracle under heavy churn, and pin down the
+hit/miss/invalidation accounting.
 """
 
 import collections
@@ -157,9 +158,16 @@ class TestChurnEquivalence:
 
     @pytest.mark.parametrize("seed", [0, 7, 42])
     def test_random_churn(self, seed):
+        for index in ("dense", "grid"):
+            for n in (12, 200):
+                self.churn(seed, n, index)
+
+    @staticmethod
+    def churn(seed, n, index):
         rng = np.random.default_rng(seed)
-        n = 12
-        topo = Topology(rng.uniform(0.0, 60.0, size=(n, 2)), range_m=22.0)
+        # keep the 12-node density (60 m square, 22 m range) at every size
+        side = 60.0 * np.sqrt(n / 12)
+        topo = Topology(rng.uniform(0.0, side, size=(n, 2)), range_m=22.0, index=index)
         blocked = []
         for _ in range(300):
             op = rng.integers(0, 8)
@@ -168,7 +176,7 @@ class TestChurnEquivalence:
             elif op == 1:
                 topo.revive(int(rng.integers(0, n)))
             elif op == 2:
-                topo.move(int(rng.integers(0, n)), rng.uniform(0.0, 60.0, 2))
+                topo.move(int(rng.integers(0, n)), rng.uniform(0.0, side, 2))
             elif op == 3 and len(blocked) < 4:
                 a, b = int(rng.integers(0, n)), int(rng.integers(0, n))
                 if a != b:
@@ -180,18 +188,24 @@ class TestChurnEquivalence:
             else:
                 src, dst = int(rng.integers(0, n)), int(rng.integers(0, n))
                 assert topo.shortest_path(src, dst) == oracle_path(topo, src, dst)
-                if topo.is_alive(src):
-                    parent = oracle_bfs(topo, src)
-                    hops = {}
-                    for node in parent:
-                        steps, cursor = 0, node
-                        while cursor != src:
-                            cursor = parent[cursor]
-                            steps += 1
-                        hops[node] = steps
-                    assert topo.hop_counts_from(src) == hops
-                    tree = dict(parent)
-                    assert topo.bfs_tree(src) == tree
+                if not topo.is_alive(src):
+                    assert list(topo.hop_counts_from(src).items()) == [(src, 0)]
+                    assert list(topo.bfs_tree(src).items()) == [(src, src)]
+                    continue
+                # the oracle's dict is in discovery order, root first;
+                # callers sum energy in dict order, so order must match
+                parent = oracle_bfs(topo, src)
+                hops = {}
+                for node in parent:
+                    steps, cursor = 0, node
+                    while cursor != src:
+                        cursor = parent[cursor]
+                        steps += 1
+                    hops[node] = steps
+                assert list(topo.hop_counts_from(src).items()) == list(hops.items())
+                tree = [(node, up) for node, up in parent.items() if node != src]
+                tree.append((src, src))
+                assert list(topo.bfs_tree(src).items()) == tree
         stats = topo.route_cache_stats
         assert stats["hits"] > 0 and stats["invalidations"] > 0
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.network import RadioEnergyModel, RadioModel, Topology, grid_positions
 from repro.network.routing import AggregationTree, ClusterFormation, Flooding, Gossip
+from repro.network.routing.base import DisseminationResult
 
 RADIO = RadioModel(bandwidth_bps=1e6, latency_s=0.01, range_m=12.0)
 EM = RadioEnergyModel()
@@ -46,6 +47,60 @@ class TestFlooding:
         expected = 2 * EM.tx_cost(1000.0, RADIO.range_m) + 2 * EM.rx_cost(1000.0)
         assert res.energy_j == pytest.approx(expected)
         assert res.per_node_energy.sum() == pytest.approx(res.energy_j)
+
+
+def loop_flood(topo, radio, em, root, bits):
+    """Per-edge loop form of flooding: the oracle for the vectorized one."""
+    per_node = np.zeros(topo.n_nodes)
+    hops = topo.hop_counts_from(root)
+    reached = set(hops)
+    tx = em.tx_cost(bits, radio.range_m)
+    rx = em.rx_cost(bits)
+    messages = 0
+    for node in reached:
+        per_node[node] += tx
+        messages += 1
+        for nbr in topo.neighbors(node):
+            per_node[nbr] += rx
+    eccentricity = max(hops.values()) if hops else 0
+    return DisseminationResult(
+        reached=reached,
+        messages=messages,
+        energy_j=float(per_node.sum()),
+        per_node_energy=per_node,
+        latency_s=eccentricity * radio.hop_time(bits),
+    )
+
+
+class TestFloodingMatchesLoop:
+    """Fuzz the vectorized flood against the per-edge loop, bit for bit."""
+
+    @pytest.mark.parametrize("index", ["dense", "grid"])
+    def test_random_topologies(self, index):
+        rng = np.random.default_rng(2003)
+        for _ in range(150):
+            n = int(rng.integers(1, 90))
+            side = float(rng.uniform(10.0, 80.0))
+            radio = RadioModel(bandwidth_bps=1e6, latency_s=0.01,
+                               range_m=float(rng.uniform(5.0, 30.0)))
+            topo = Topology(rng.uniform(0.0, side, size=(n, 2)),
+                            range_m=radio.range_m, index=index)
+            for node in rng.choice(n, size=int(rng.integers(0, n // 4 + 1)), replace=False):
+                topo.kill(int(node))
+            for _ in range(int(rng.integers(0, 4))):
+                a, b = rng.integers(0, n, size=2)
+                topo.block_links([int(a)], [int(b)])
+            root = int(rng.integers(0, n))
+            if rng.random() < 0.1:
+                topo.kill(root)
+            bits = float(rng.uniform(8.0, 4096.0))
+            got = Flooding(topo, radio, EM).disseminate(root, bits)
+            want = loop_flood(topo, radio, EM, root, bits)
+            assert got.reached == want.reached
+            assert np.array_equal(got.per_node_energy, want.per_node_energy)
+            assert got.energy_j == want.energy_j
+            assert got.messages == want.messages
+            assert got.latency_s == want.latency_s
 
 
 class TestGossip:

@@ -22,7 +22,7 @@ from repro.sensors import SensorDeployment, UniformField
 from repro.simkernel import RandomStreams, Simulator
 
 
-def make_ctx(n=25, area=40.0, seed=0, loss=0.0, noise_std=0.0, resolution=20):
+def make_ctx(n=25, area=40.0, seed=0, loss=0.0, noise_std=0.0, resolution=20, battery_j=1.0):
     from repro.network.radio import RadioModel
 
     streams = RandomStreams(seed)
@@ -32,7 +32,7 @@ def make_ctx(n=25, area=40.0, seed=0, loss=0.0, noise_std=0.0, resolution=20):
     radio = RadioModel(bandwidth_bps=250_000.0, latency_s=0.01, loss_prob=loss,
                        range_m=max(spacing * 1.6, 0.12 * area))
     dep = SensorDeployment(n, area, UniformField(25.0), sim=sim, streams=streams,
-                           radio=radio, noise_std=noise_std)
+                           radio=radio, noise_std=noise_std, battery_j=battery_j)
     grid = GridInfrastructure(sim)
     return QueryContext(deployment=dep, grid=grid, streams=streams, grid_resolution=resolution)
 
@@ -227,6 +227,16 @@ class TestExecution:
         assert outcome.success
         assert outcome.value == pytest.approx(25.0, rel=0.02)
         assert outcome.energy_j > 0 and outcome.time_s > 0
+
+    def test_execution_drain_counts_node_deaths(self):
+        # a sensing draw (50 nJ) leaves a 1 uJ cell alive, but one radio
+        # transmission empties it: every death here comes from execution
+        ctx = make_ctx(battery_j=1e-6)
+        run_model(CentralizedModel(), AVG_Q, ctx)
+        dep = ctx.deployment
+        dead = [s for s in range(dep.n_sensors) if not dep.topology.is_alive(s)]
+        assert dead
+        assert dep.monitor.counter("net.node_deaths").value == len(dead)
 
     def test_simple_query_returns_reading(self):
         ctx = make_ctx(noise_std=0.0)
