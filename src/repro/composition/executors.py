@@ -8,7 +8,6 @@ stand up a working service economy in a few lines:
 * ``DecisionTreeService``   → :class:`repro.datamining.DecisionTree`
 * ``FourierSpectrumService`` → spectra + dominant-component selection
 * ``EnsembleCombinerService`` → :class:`repro.datamining.FourierFunction`
-* ``PDESolverService``      → :class:`repro.pde.HeatSolver` steady solves
 * ``AggregationService``    → :mod:`repro.queries.functions` aggregates
 
 :func:`build_stream_mining_providers` wires the paper's §3 pipeline
@@ -75,33 +74,6 @@ def make_combiner_executor(d: int):
     def executor(params: dict, inputs: dict) -> FourierFunction:
         (spectrum,) = inputs.values()
         return FourierFunction(spectrum, d)
-
-    return executor
-
-
-def make_pde_executor(area_m: float, resolution: int = 24):
-    """Executor for ``PDESolverService``: readings in, temperature field out.
-
-    Input payload: ``{"positions": (m, 2) array, "values": (m,) array}``.
-    """
-    from repro.pde.grid import RectGrid
-    from repro.pde.heat import HeatSolver
-    from repro.pde.interpolate import readings_to_grid
-
-    def executor(params: dict, inputs: dict) -> np.ndarray:
-        (payload,) = inputs.values()
-        positions = np.asarray(payload["positions"], dtype=float)
-        values = np.asarray(payload["values"], dtype=float)
-        res = int(params.get("resolution", resolution))
-        grid = RectGrid(res, res, area_m, area_m)
-        interpolated = readings_to_grid(grid, positions, values)
-        fixed = grid.boundary_mask()
-        bvals = interpolated.copy()
-        for pos, val in zip(positions, values):
-            i, j = grid.nearest_index(pos)
-            fixed[i, j] = True
-            bvals[i, j] = val
-        return HeatSolver(grid).solve_steady(bvals, fixed_mask=fixed)
 
     return executor
 

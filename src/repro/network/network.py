@@ -334,14 +334,18 @@ class WirelessNetwork:
         record_route_cache_metrics(self.topology, self.monitor)
 
     def charge(self, node_id: int, joules: float) -> None:
-        """Draw ``joules`` from a node's battery.
+        """Draw ``joules`` from a node's battery; a draw that depletes it
+        goes through :meth:`kill_depleted`."""
+        if not self.nodes[node_id].battery.draw(joules):
+            self.kill_depleted(node_id)
 
-        A draw that depletes the battery of a living node kills it in the
-        topology and counts it under ``net.node_deaths``.
+    def kill_depleted(self, node_id: int) -> None:
+        """Kill a living node whose battery is depleted.
+
+        The death is counted under ``net.node_deaths``; a node that is
+        already dead in the topology, or still has charge, is left alone.
         """
-        battery = self.nodes[node_id].battery
-        alive = battery.draw(joules)
-        if not alive and self.topology.is_alive(node_id):
+        if self.nodes[node_id].battery.depleted and self.topology.is_alive(node_id):
             self.topology.kill(node_id)
             self.monitor.counter("net.node_deaths").add()
 

@@ -12,7 +12,7 @@ runs for the *Complex* query class:
 * :mod:`~repro.pde.grid` -- rectangular computation grids.
 * :mod:`~repro.pde.interpolate` -- scattering sparse sensor readings onto
   grid points (inverse-distance weighting).
-* :mod:`~repro.pde.heat` -- steady-state and transient heat equation via
+* :mod:`~repro.pde.heat` -- steady-state heat equation via
   sparse 5-point-stencil linear systems (scipy.sparse), plus the
   operation-count model the partitioner's estimators use.
 """

@@ -1,9 +1,7 @@
-"""Heat-equation solvers on rectangular grids.
+"""Steady heat-equation solves on rectangular grids.
 
-Steady state:  ``-k ∇²T = q`` with Dirichlet boundary values.
-Transient:     ``∂T/∂t = α ∇²T + q`` via implicit (backward) Euler.
-
-Both assemble the classic 5-point-stencil sparse operator and solve with
+Solves ``-k ∇²T = q`` with Dirichlet boundary values by assembling the
+classic 5-point-stencil sparse operator and solving with
 ``scipy.sparse.linalg.spsolve`` -- a real computation, so examples and
 experiments produce genuine temperature fields, while the *cost* charged
 to whichever device runs the solve comes from
@@ -42,7 +40,7 @@ class HeatSolver:
     grid:
         The computation grid.
     conductivity:
-        Thermal conductivity ``k`` (steady) / diffusivity ``α`` (transient).
+        Thermal conductivity ``k``.
     """
 
     def __init__(self, grid: RectGrid, conductivity: float = 1.0) -> None:
@@ -122,46 +120,6 @@ class HeatSolver:
         t = t_fixed.copy()
         t[free] = spla.spsolve(a_ff, rhs[free])
         return t.reshape(g.shape)
-
-    def step_transient(
-        self,
-        temperature: np.ndarray,
-        dt: float,
-        source: np.ndarray | None = None,
-        fixed_mask: np.ndarray | None = None,
-        boundary_values: np.ndarray | None = None,
-    ) -> np.ndarray:
-        """One implicit-Euler step of ``∂T/∂t = α ∇²T + q``.
-
-        Unconditionally stable for any ``dt``.  Fixed points are reset to
-        ``boundary_values`` (default: their current values) after the
-        step.
-        """
-        if dt <= 0:
-            raise ValueError("dt must be positive")
-        g = self.grid
-        t0 = np.asarray(temperature, dtype=np.float64)
-        if t0.shape != g.shape:
-            raise ValueError("temperature shape mismatch")
-        q = np.zeros(g.shape) if source is None else np.asarray(source, dtype=np.float64)
-        fixed = g.boundary_mask() if fixed_mask is None else np.asarray(fixed_mask, dtype=bool)
-        bvals = t0 if boundary_values is None else np.asarray(boundary_values, dtype=np.float64)
-
-        lap = self._laplacian() * self.conductivity
-        n = g.n_points
-        fixed_flat = fixed.ravel()
-        free = ~fixed_flat
-        t_next = np.empty(n)
-        t_next[fixed_flat] = bvals.ravel()[fixed_flat]
-        if free.any():
-            # implicit Euler on the free unknowns; Dirichlet data enters
-            # through the coupling term on the RHS
-            t_bound = np.zeros(n)
-            t_bound[fixed_flat] = t_next[fixed_flat]
-            system = sp.identity(int(free.sum()), format="csr") + dt * lap[free][:, free]
-            rhs = t0.ravel()[free] + dt * (q.ravel()[free] - (lap @ t_bound)[free])
-            t_next[free] = spla.spsolve(system.tocsc(), rhs)
-        return t_next.reshape(g.shape)
 
     def ops_estimate(self) -> float:
         """Flop estimate for one steady solve on this grid."""

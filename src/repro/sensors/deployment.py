@@ -160,77 +160,17 @@ class SensorDeployment:
     # ------------------------------------------------------------------
     # sensing
     # ------------------------------------------------------------------
-    def sample_all(self, t: float | None = None) -> list[Reading]:
-        """One reading from every living sensor at time ``t`` (default now).
-
-        Field evaluation and noise are vectorized: one ``field.sample_at``
-        over every eligible position plus one ``rng.normal(0, std, k)``
-        draw, instead of per-sensor scalar calls.  Results are bit
-        identical to the scalar path -- field evaluation is elementwise,
-        and numpy Generators emit the same stream for one size-k draw as
-        for k scalar draws -- so the fast path is taken whenever the fleet
-        is homogeneous (shared noise rng and one ``noise_std``, which is
-        how this class builds it); heterogeneous fleets fall back to the
-        per-sensor loop.
-        """
-        time = self.sim.now if t is None else t
-        topology = self.topology
-        eligible = [
-            s for s in self.sensors if topology.is_alive(s.node_id) and s.alive
-        ]
-        if eligible:
-            rng = eligible[0].rng
-            std = eligible[0].noise_std
-            homogeneous = all(
-                s.rng is rng and s.noise_std == std for s in eligible
-            )
-        else:
-            homogeneous = True
-        if not homogeneous:
-            readings = []
-            for sensor in self.sensors:
-                if topology.is_alive(sensor.node_id):
-                    reading = sensor.sample(self.field, time)
-                    if reading is not None:
-                        readings.append(reading)
-                    if sensor.battery.depleted:
-                        topology.kill(sensor.node_id)
-            return readings
-
-        readings = []
-        if eligible:
-            positions = np.stack([s.position for s in eligible])
-            values = self.field.sample_at(positions, time)
-            # std == 0 must not touch the stream (the scalar path skips
-            # the draw entirely in that case)
-            noise = rng.normal(0.0, std, len(eligible)) if std else None
-            for j, sensor in enumerate(eligible):
-                sensor.battery.draw(sensor.energy_model.sense_cost())
-                sensor.samples_taken += 1
-                # identical float op to the scalar path, 0.0 included
-                # (-0.0 + 0.0 flips sign, so the add is never skipped)
-                value = float(values[j]) + (float(noise[j]) if noise is not None else 0.0)
-                readings.append(
-                    Reading(sensor_id=sensor.node_id, time=time,
-                            value=value, attribute=sensor.attribute)
-                )
-                if sensor.battery.depleted:
-                    topology.kill(sensor.node_id)
-        # sensors already battery-dead but not yet reflected in the
-        # topology: the scalar path killed these as it swept past them
-        for sensor in self.sensors:
-            if not sensor.alive and topology.is_alive(sensor.node_id):
-                topology.kill(sensor.node_id)
-        return readings
-
     def sample_sensor(self, sensor_id: int, t: float | None = None) -> Reading | None:
-        """One reading from one sensor (None if dead)."""
+        """One reading from one sensor (None if dead).
+
+        A sensor whose battery the sample drains still returns its
+        reading, and dies through :meth:`WirelessNetwork.kill_depleted`.
+        """
         if not self.topology.is_alive(sensor_id):
             return None
         time = self.sim.now if t is None else t
         reading = self.sensors[sensor_id].sample(self.field, time)
-        if self.sensors[sensor_id].battery.depleted:
-            self.topology.kill(sensor_id)
+        self.network.kill_depleted(sensor_id)
         return reading
 
     def true_values(self, t: float | None = None) -> np.ndarray:

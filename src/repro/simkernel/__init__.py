@@ -4,7 +4,9 @@ This package is the foundation of every simulated substrate in the
 reproduction (wireless network, sensor network, grid, agents).  It provides:
 
 * :class:`~repro.simkernel.simulator.Simulator` -- a single-threaded,
-  deterministic event loop with a virtual clock.
+  deterministic event loop with a virtual clock, over one binary-heap
+  event list (:class:`~repro.simkernel.eventlist.EventList`) with lazy
+  cancellation.
 * :class:`~repro.simkernel.event.Event` -- a scheduled callback with a
   stable total order (time, priority, sequence number) so that runs are
   exactly reproducible from a seed.
@@ -29,7 +31,6 @@ is not the bottleneck at the scales the paper's scenarios require
 """
 
 from repro.simkernel.event import Event, EventHandle
-from repro.simkernel.eventlist import CalendarQueue, HeapEventList
 from repro.simkernel.simulator import Simulator, SimulationError
 from repro.simkernel.process import Process, Delay, Waiter, Interrupt
 from repro.simkernel.rng import RandomStreams
@@ -38,8 +39,6 @@ from repro.simkernel.monitor import Monitor, TimeSeries, Counter, Gauge, Histogr
 __all__ = [
     "Event",
     "EventHandle",
-    "CalendarQueue",
-    "HeapEventList",
     "Simulator",
     "SimulationError",
     "Process",

@@ -6,12 +6,10 @@ explicit priority (lower runs first) and then by insertion order, which is
 what makes simulation runs bit-for-bit reproducible.
 
 Events are plain ``__slots__`` objects (not dataclasses) because they are
-the single most-allocated object in a large simulation; the event lists in
-:mod:`repro.simkernel.eventlist` recycle fired events through a free list,
-so a steady-state run allocates no new Event objects at all.  Recycling is
-made safe for outstanding :class:`EventHandle`\\ s by a generation counter:
-the handle remembers the generation it was issued against and turns into
-an inert "already fired" token once the event is reused.
+the single most-allocated object in a large simulation.  Each schedule
+builds a fresh Event; once it fires (or is cancelled) the kernel drops its
+callback and trace context, so an :class:`EventHandle` held past dispatch
+keeps nothing else alive.
 """
 
 from __future__ import annotations
@@ -48,7 +46,7 @@ class Event:
         Zero-argument callable invoked when the event fires.
     cancelled:
         Set via :meth:`EventHandle.cancel`; cancelled events are skipped
-        (lazy deletion -- cheaper than heap surgery) and reclaimed by the
+        (lazy deletion -- cheaper than heap surgery) and swept out by the
         event list's compaction pass.
     label:
         Optional human-readable tag used by tracing.
@@ -56,9 +54,6 @@ class Event:
         Span captured from the scheduler's tracer at schedule time (None
         when tracing is disabled); restored as the current span around
         the callback, so causality follows work across scheduled hops.
-    gen:
-        Reuse generation.  Bumped every time the event object is recycled
-        into a free list; handles compare it to detect reuse.
     in_queue:
         True while the event sits in an event list (live or tombstoned);
         lets ``cancel`` bookkeeping distinguish queued events from ones
@@ -66,15 +61,14 @@ class Event:
     """
 
     __slots__ = ("time", "priority", "seq", "callback", "cancelled",
-                 "label", "trace_ctx", "gen", "in_queue")
+                 "label", "trace_ctx", "in_queue")
 
     def __init__(
         self,
         time: float,
         priority: int,
         seq: int,
-        callback: typing.Callable[[], None],
-        cancelled: bool = False,
+        callback: typing.Callable[[], None] | None,
         label: str = "",
         trace_ctx: typing.Any = None,
     ) -> None:
@@ -82,10 +76,9 @@ class Event:
         self.priority = priority
         self.seq = seq
         self.callback = callback
-        self.cancelled = cancelled
+        self.cancelled = False
         self.label = label
         self.trace_ctx = trace_ctx
-        self.gen = 0
         self.in_queue = False
 
     def __lt__(self, other: "Event") -> bool:
@@ -108,54 +101,45 @@ class EventHandle:
 
     Allows cancellation and introspection without exposing the event-list
     entry mutably.  Handles are cheap; the kernel returns one per
-    ``schedule``.  A handle stays valid for ever: once the underlying
-    event has fired and been recycled for a new schedule, the handle
-    detects the generation change and behaves as "already fired".
+    ``schedule``.  A handle stays valid for ever: after the event fired,
+    :meth:`cancel` has nothing left to suppress.
     """
 
-    __slots__ = ("_event", "_gen", "_time", "_label", "_requested", "_owner")
+    __slots__ = ("_event", "_owner")
 
-    def __init__(self, event: Event, owner: typing.Any = None) -> None:
+    def __init__(self, event: Event, owner: typing.Any) -> None:
         self._event = event
-        self._gen = event.gen
-        self._time = event.time
-        self._label = event.label
-        #: True once cancel() has been called on *this handle* -- kept
-        #: separately so the answer survives event recycling.
-        self._requested = False
         self._owner = owner
 
     @property
     def time(self) -> float:
         """Virtual time at which the event will fire (or would have)."""
-        return self._time
+        return self._event.time
 
     @property
     def label(self) -> str:
         """The label given at scheduling time."""
-        return self._label
+        return self._event.label
 
     @property
     def cancelled(self) -> bool:
-        """True if :meth:`cancel` was called before the event fired."""
-        event = self._event
-        if event.gen == self._gen:
-            return event.cancelled
-        return self._requested
+        """True once :meth:`cancel` has been called on this handle."""
+        return self._event.cancelled
 
     def cancel(self) -> None:
         """Prevent the event from firing.
 
         Idempotent.  Cancelling an event that already fired has no effect
-        (the kernel recycles the event object after firing; the stale
-        generation tells this handle there is nothing left to suppress).
+        beyond marking the handle cancelled (the event is out of the list,
+        so the owner has nothing to count).
         """
-        self._requested = True
         event = self._event
-        if event.gen == self._gen and not event.cancelled:
+        if not event.cancelled:
             event.cancelled = True
-            if self._owner is not None:
-                self._owner.note_cancel(event)
+            # a cancelled event never runs: drop what it would have pinned
+            event.callback = None
+            event.trace_ctx = None
+            self._owner.note_cancel(event)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else "pending"

@@ -4,10 +4,8 @@
 substrates (network, sensors, grid, agents) schedule work through one
 shared ``Simulator`` so cross-subsystem causality is consistent.
 
-The pending-event container is pluggable (``queue="heap"`` or
-``queue="calendar"``, see :mod:`repro.simkernel.eventlist`); both preserve
-the exact ``(time, priority, seq)`` total order, so the choice affects
-wall-clock speed only -- never a simulation result.
+Pending events sit in one binary heap (:mod:`repro.simkernel.eventlist`)
+ordered by the exact ``(time, priority, seq)`` total order.
 """
 
 from __future__ import annotations
@@ -16,7 +14,7 @@ import math
 import typing
 
 from repro.simkernel.event import Event, EventHandle, PRIORITY_NORMAL
-from repro.simkernel.eventlist import EVENT_LISTS, _EventListBase
+from repro.simkernel.eventlist import EventList
 
 
 class SimulationError(RuntimeError):
@@ -30,12 +28,6 @@ class Simulator:
     ----------
     start_time:
         Initial virtual time (default ``0.0``).
-    queue:
-        Pending-event container: ``"heap"`` (default; the classic binary
-        heap) or ``"calendar"`` (bucketed calendar queue, amortised O(1)
-        per event -- the right choice for 10k+ node simulations).  Both
-        yield bit-identical event sequences; an already-constructed
-        event-list instance is also accepted.
 
     Examples
     --------
@@ -47,16 +39,9 @@ class Simulator:
     [5.0]
     """
 
-    def __init__(self, start_time: float = 0.0, queue: str | _EventListBase = "heap") -> None:
+    def __init__(self, start_time: float = 0.0) -> None:
         self._now = float(start_time)
-        if isinstance(queue, str):
-            try:
-                queue = EVENT_LISTS[queue]()
-            except KeyError:
-                raise SimulationError(
-                    f"unknown queue {queue!r}; expected one of {sorted(EVENT_LISTS)}"
-                ) from None
-        self._events: _EventListBase = queue
+        self._events = EventList()
         self._seq = 0
         self._running = False
         self._stopped = False
@@ -92,7 +77,7 @@ class Simulator:
 
         Cancelled-but-unswept tombstones are excluded -- this is the
         number monitors and dashboards should show.  The raw entry count
-        (the pre-PR-10 ``pending`` semantics) lives on :attr:`queued`.
+        lives on :attr:`queued`.
         """
         return len(self._events)
 
@@ -100,9 +85,9 @@ class Simulator:
     def queued(self) -> int:
         """Raw pending-list entry count, cancelled tombstones included.
 
-        This is the historical ``pending`` semantics: how many entries
-        the event list physically holds.  ``queued - pending`` is the
-        current tombstone debt awaiting compaction.
+        How many entries the event list physically holds;
+        ``queued - pending`` is the current tombstone debt awaiting
+        compaction.
         """
         return self._events.queued
 
@@ -143,8 +128,7 @@ class Simulator:
         tracer = self.tracer
         ctx = tracer._capture() if tracer is not None and tracer.enabled else None
         events = self._events
-        event = events.alloc(float(time), priority, self._seq, callback,
-                             label=label, trace_ctx=ctx)
+        event = Event(float(time), priority, self._seq, callback, label, ctx)
         self._seq += 1
         events.push(event)
         return EventHandle(event, events)
@@ -164,6 +148,7 @@ class Simulator:
         self._now = event.time
         self._events_executed += 1
         callback, event.callback = event.callback, _already_fired
+        ctx, event.trace_ctx = event.trace_ctx, None
         profiler = self.profiler
         profiling = profiler is not None and profiler.enabled
         if profiling:
@@ -173,7 +158,7 @@ class Simulator:
             if tracer is not None and tracer.enabled:
                 # run under the span current at schedule time (possibly
                 # none), not whatever span the stepping code is inside
-                saved = tracer._activate(event.trace_ctx)
+                saved = tracer._activate(ctx)
                 try:
                     callback()
                 finally:
@@ -183,9 +168,6 @@ class Simulator:
         finally:
             if profiling:
                 profiler._end_event()
-            # safe to reuse: the callback ran (or raised) and the event
-            # left the list; handles detect the generation bump
-            self._events.recycle(event)
         return True
 
     def run(self, until: float | None = None, max_events: int | None = None) -> None:

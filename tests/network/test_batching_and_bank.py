@@ -21,12 +21,12 @@ from repro.network.network import _receiver_copy
 from repro.simkernel import Monitor, RandomStreams, Simulator
 
 
-def build_flood_net(seed, *, legacy=False, queue="heap"):
+def build_flood_net(seed, *, legacy=False):
     """A lossy 50-node network where every receiver rebroadcasts once."""
     streams = RandomStreams(seed)
     pos = streams.get("pos").random((50, 2)) * 45
     topo = Topology(pos, 14.0, index="dense")
-    sim = Simulator(queue=queue)
+    sim = Simulator()
     radio = RadioModel(bandwidth_bps=250_000.0, latency_s=0.01,
                        loss_prob=0.2, range_m=14.0)
     net = WirelessNetwork(sim, topo, radio,
@@ -177,21 +177,13 @@ class TestBatteryBank:
             assert s.depleted == v.depleted
             assert s.fraction_remaining == v.fraction_remaining
 
-    def test_draw_many_matches_scalar_draws(self):
-        caps = [1e-3, 5e-4, float("inf"), 0.0, 2e-3]
-        singles = [Battery(c) for c in caps]
-        bank = BatteryBank(caps)
-        alive_scalar = [singles[i].draw(6e-4) for i in range(5)]
-        alive_vec = bank.draw_many(np.arange(5), 6e-4)
-        assert alive_scalar == list(alive_vec)
-        assert [b.remaining for b in singles] == list(bank.remaining)
-        assert [b.consumed for b in singles] == list(bank.consumed)
-        assert list(bank.draws) == [1] * 5
-
     def test_fleet_accounting(self):
         bank = BatteryBank.uniform(100, 2e-4)
-        bank.draw_many(np.arange(40), 1e-4)
-        bank.draw_many(np.arange(10), 2e-4)  # overdraw: deplete 10 cells
+        views = bank.batteries()
+        for i in range(40):
+            views[i].draw(1e-4)
+        for i in range(10):
+            views[i].draw(2e-4)  # overdraw: deplete 10 cells
         assert bank.depleted_count == 10
         assert int(bank.alive_mask.sum()) == 90
         assert bank.total_consumed == pytest.approx(40 * 1e-4 + 10 * 1e-4)
@@ -224,5 +216,3 @@ class TestBatteryBank:
             BatteryBank(np.zeros((2, 2)))
         with pytest.raises(ValueError, match="negative energy"):
             BatteryBank.uniform(2).battery(0).draw(-1.0)
-        with pytest.raises(ValueError, match="negative energy"):
-            BatteryBank.uniform(2).draw_many([0], -1.0)

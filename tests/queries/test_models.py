@@ -17,7 +17,7 @@ from repro.queries.models import (
     complex_ops,
 )
 from repro.queries.models import collection
-from repro.queries.models.base import CostEstimate
+from repro.queries.models.base import CostEstimate, solve_distribution
 from repro.sensors import SensorDeployment, UniformField
 from repro.simkernel import RandomStreams, Simulator
 
@@ -252,6 +252,15 @@ class TestExecution:
         assert outcome.value.shape == (16, 16)
         # uniform field: the solved distribution is ~25 everywhere
         assert np.allclose(outcome.value, 25.0, atol=1.0)
+
+    def test_solve_distribution_obeys_max_principle(self):
+        """Two anchored readings bound the solved field from both sides."""
+        ctx = make_ctx(area=30.0, resolution=12)
+        positions = np.array([[5.0, 5.0], [25.0, 25.0]])
+        values = np.array([100.0, 20.0])
+        field = solve_distribution(ctx, positions, values)
+        assert field.shape == (12, 12)
+        assert 20.0 - 1e-6 <= field.min() and field.max() <= 100.0 + 1e-6
 
     def test_histogram_complex_function(self):
         ctx = make_ctx(noise_std=0.0)
