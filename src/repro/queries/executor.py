@@ -244,7 +244,7 @@ class QueryExecutor:
             ))
 
         with tracer.use(exec_span):
-            decision.model.execute(query, self.ctx, targets, model_done)
+            decision.model.execute(query, self.ctx, targets, decision.estimate, model_done)
 
     # ------------------------------------------------------------------
     def _apply_window(

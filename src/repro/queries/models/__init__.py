@@ -18,12 +18,15 @@ The paper names the candidate plans the Decision Maker chooses among:
   send the average reading from a region" --
   :class:`~repro.queries.models.region.RegionAverageModel`.
 
-Every model provides an analytic :meth:`~repro.queries.models.base.ExecutionModel.estimate`
-(used by the Decision Maker) and an :meth:`~repro.queries.models.base.ExecutionModel.execute`
-that runs in the DES, charges real batteries, computes real values and
-reports *actuals* that deviate from estimates through MAC contention and
-retransmission effects -- the estimate/actual gap the adaptive learner
-closes.
+Every model builds its plan once, in an analytic
+:meth:`~repro.queries.models.base.ExecutionModel.estimate` the Decision
+Maker compares; :meth:`~repro.queries.models.base.ExecutionModel.execute`
+runs the chosen estimate's plan in the DES, charges real batteries,
+computes real values and reports *actuals* that deviate from estimates
+through MAC contention and retransmission effects -- the estimate/actual
+gap the adaptive learner closes.  The cluster model alone re-estimates at
+execute: LEACH draws fresh heads from the ``clustering`` stream on every
+formation, and results depend on that draw order.
 """
 
 from repro.queries.models.base import (

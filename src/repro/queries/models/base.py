@@ -15,6 +15,14 @@ Cost conventions
 
 Estimate vs actual
 ------------------
+A model builds its :class:`Plan` once per epoch, in
+:meth:`ExecutionModel.estimate`; the estimate the Decision Maker chose
+carries that plan into :meth:`ExecutionModel.execute`, which runs it
+without re-deriving anything.  The cluster model is the one exception:
+LEACH elects new heads from the ``clustering`` stream every time it forms
+clusters, so its ``execute`` re-estimates once and runs the fresh
+election, keeping the draw order every earlier run depends on.
+
 Estimates are deterministic analytic costs.  Execution applies two
 effects the analytic model ignores, so actuals deviate systematically:
 
@@ -37,13 +45,15 @@ import typing
 import numpy as np
 
 from repro.grid.infrastructure import GridInfrastructure
-
+from repro.grid.job import ComputeJob
+from repro.network.routing.base import CollectionCost, DisseminationResult
 from repro.pde.grid import RectGrid
 from repro.pde.heat import HeatSolver
 from repro.pde.interpolate import readings_to_grid
 from repro.observability.tracer import NOOP_TRACER, STATUS_ERROR, STATUS_OK, Tracer
 from repro.queries.ast import Query
 from repro.queries.functions import compute_aggregate, is_aggregate
+from repro.queries.models import collection
 from repro.sensors.deployment import SensorDeployment
 from repro.sensors.node import Reading
 from repro.simkernel import RandomStreams
@@ -135,6 +145,43 @@ class QueryContext:
 
 
 @dataclasses.dataclass
+class Plan:
+    """Everything :meth:`ExecutionModel.execute` needs to run one estimate.
+
+    Attributes
+    ----------
+    flood:
+        Query dissemination (free once the query is in the network).
+    collect:
+        The convergecast that brings readings (or partials) to the base.
+    radio_s:
+        Analytic length of the wireless phase; execution scales it by the
+        sampled contention/retransmission time factor.
+    compute_s / result_s:
+        Computation and result-delivery time after the wireless phase.
+    job:
+        The grid job an offloading plan submits.
+    """
+
+    flood: DisseminationResult
+    collect: CollectionCost
+    radio_s: float
+    compute_s: float = 0.0
+    result_s: float = 0.0
+    job: ComputeJob | None = None
+
+    @property
+    def messages(self) -> int:
+        """Radio messages of one execution (drives MAC contention)."""
+        return self.collect.messages + self.flood.messages
+
+    @property
+    def time_s(self) -> float:
+        """Analytic turnaround: the wireless phase unscaled."""
+        return self.radio_s + self.compute_s + self.result_s
+
+
+@dataclasses.dataclass
 class CostEstimate:
     """Predicted cost of running a query under one model.
 
@@ -150,8 +197,9 @@ class CostEstimate:
         Computation performed (wherever it runs).
     rel_error:
         Expected relative error of the answer (0 = exact plan).
-    feasible:
-        False when the plan cannot run (partition, no living targets).
+    plan:
+        What ``execute`` runs; None when the plan cannot run (partition,
+        no living targets).
     """
 
     energy_j: float
@@ -159,9 +207,14 @@ class CostEstimate:
     data_bits: float
     ops: float
     rel_error: float = 0.0
-    feasible: bool = True
+    plan: Plan | None = dataclasses.field(default=None, repr=False, compare=False)
 
     INFEASIBLE: typing.ClassVar["CostEstimate"]
+
+    @property
+    def feasible(self) -> bool:
+        """Whether there is a plan to run."""
+        return self.plan is not None
 
     def metric(self, name: str) -> float:
         """Look up a COST-clause metric on this estimate."""
@@ -176,7 +229,7 @@ class CostEstimate:
 
 CostEstimate.INFEASIBLE = CostEstimate(
     energy_j=math.inf, time_s=math.inf, data_bits=math.inf, ops=math.inf,
-    rel_error=math.inf, feasible=False,
+    rel_error=math.inf,
 )
 
 
@@ -199,6 +252,10 @@ class ModelOutcome:
     error: str = ""
 
 
+#: The callback ``execute`` reports its one outcome to.
+OnComplete = typing.Callable[[ModelOutcome], None]
+
+
 class ExecutionModel:
     """Interface all execution models implement."""
 
@@ -214,27 +271,74 @@ class ExecutionModel:
         raise NotImplementedError
 
     def estimate(self, query: Query, ctx: QueryContext, targets: list[int]) -> CostEstimate:
-        """Analytic cost prediction (no side effects)."""
+        """Build the plan and cost it analytically (no side effects)."""
         raise NotImplementedError
 
-    def execute(
-        self,
-        query: Query,
-        ctx: QueryContext,
-        targets: list[int],
-        on_complete: typing.Callable[[ModelOutcome], None],
-    ) -> None:
-        """Run the plan in the DES; callback with the outcome."""
-        raise NotImplementedError
+    def execute(self, query: Query, ctx: QueryContext, targets: list[int],
+                estimate: CostEstimate, on_complete: OnComplete) -> None:
+        """Run ``estimate``'s plan in the DES; callback with the outcome.
+
+        ``estimate`` is what :meth:`estimate` returned for the same query
+        and targets at the same instant; an infeasible one fails at once.
+        """
+        if not estimate.feasible:
+            on_complete(ModelOutcome(False, None, self.name, 0.0, 0.0, 0.0, 0, "infeasible"))
+            return
+        self._run_plan(query, ctx, targets, estimate, on_complete)
+
+    def _run_plan(self, query: Query, ctx: QueryContext, targets: list[int],
+                  estimate: CostEstimate, on_complete: OnComplete) -> None:
+        """Collect, then answer after the plan's compute and result time."""
+        plan = estimate.plan
+        readings, wireless_s, energy_j, close_collect = self._collect(query, ctx, targets, estimate)
+        total_s = wireless_s + plan.compute_s + plan.result_s
+
+        def finish() -> None:
+            close_collect(bool(readings))
+            if not readings:
+                on_complete(ModelOutcome(False, None, self.name, total_s,
+                                         energy_j, estimate.data_bits, 0, "no readings"))
+                return
+            value = self._answer(query, ctx, readings, plan)
+            on_complete(ModelOutcome(True, value, self.name, total_s,
+                                     energy_j, estimate.data_bits, len(readings)))
+
+        ctx.sim.schedule(total_s, finish, label=f"exec:{self.name}")
+
+    def _answer(self, query: Query, ctx: QueryContext, readings: list[Reading],
+                plan: Plan) -> typing.Any:
+        """The query's answer from the collected readings."""
+        return self.compute_answer(query, ctx, readings)
 
     # ------------------------------------------------------------------
     # shared helpers
     # ------------------------------------------------------------------
-    def _flood_cost(self, query: Query, ctx: QueryContext):
-        """Query-dissemination cost: zero once the query is in the network."""
-        from repro.network.routing.base import DisseminationResult
-        from repro.queries.models import collection
+    def _collect(self, query: Query, ctx: QueryContext, targets: list[int], estimate: CostEstimate):
+        """Charge, sample and trace one collection round of ``estimate``'s plan.
 
+        Returns the filtered readings of the targets the plan reaches,
+        the actual wireless time, the actual sensor energy and the
+        ``net.collect`` span's closer.
+        """
+        plan = estimate.plan
+        time_factor, energy_factor = self._actual_factors(
+            ctx, plan.messages, collection.mean_target_depth(ctx.deployment, targets),
+        )
+        self._charge(ctx, plan.flood.per_node_energy + plan.collect.per_node_energy,
+                     energy_factor)
+        ctx.mark_disseminated(query)
+        readings = self._sample_targets(
+            query, ctx, [t for t in targets if t in plan.collect.participating])
+        wireless_s = plan.radio_s * time_factor
+        # with nothing computed at the base (in-network merging), the
+        # result hop ends the radio phase and the span covers it too
+        close_collect = self._trace_collect(
+            ctx, plan, len(targets), len(readings),
+            wireless_s if plan.compute_s else wireless_s + plan.result_s)
+        return readings, wireless_s, estimate.energy_j * energy_factor, close_collect
+
+    def _flood_cost(self, query: Query, ctx: QueryContext) -> DisseminationResult:
+        """Query-dissemination cost: zero once the query is in the network."""
         if ctx.is_disseminated(query):
             n = ctx.deployment.topology.n_nodes
             return DisseminationResult(
@@ -254,34 +358,34 @@ class ExecutionModel:
         retx = 1.0 + float(rng.exponential(retx_mean)) if retx_mean > 0 else 1.0
         return contention * jitter * retx, retx
 
-    def _charge(self, ctx: QueryContext, per_node_energy: np.ndarray, factor: float = 1.0) -> None:
+    def _charge(self, ctx: QueryContext, per_node_energy: np.ndarray, factor: float) -> None:
         """Draw per-node radio energy from the batteries."""
         network = ctx.deployment.network
         for node_id in np.flatnonzero(per_node_energy > 0.0):
             node_id = int(node_id)
             network.charge(node_id, float(per_node_energy[node_id]) * factor)
 
-    def _sample_targets(self, ctx: QueryContext, targets: list[int]) -> list[Reading]:
-        """Sample every target sensor (paying sense energy)."""
+    def _sample_targets(self, query: Query, ctx: QueryContext, targets: list[int]) -> list[Reading]:
+        """Sample every target sensor (paying sense energy); keep the
+        readings that pass the value predicates the targets step skipped."""
+        value_preds = [p for p in query.where if p.attribute in ("value", "temperature")]
         readings = []
         for sid in targets:
             r = ctx.deployment.sample_sensor(sid)
-            if r is not None:
+            if r is not None and all(p.holds({p.attribute: r.value}) for p in value_preds):
                 readings.append(r)
         return readings
 
     def _trace_collect(
         self,
         ctx: QueryContext,
+        plan: Plan,
         requested: int,
         returned: int,
-        messages: float,
-        participating: int,
         wireless_s: float,
-        bits: float = 0.0,
     ):
         """Record the sampling event and a ``net.collect`` span covering
-        this plan's wireless phase (``[now, now + wireless_s]``).
+        ``plan``'s wireless phase (``[now, now + wireless_s]``).
 
         Returns a closer ``close(ok=True)`` for the completion callback;
         analytic plans know the phase length up front, so the span is
@@ -292,22 +396,15 @@ class ExecutionModel:
         if not tracer.enabled:
             return _NOOP_CLOSER
         tracer.event("sensors.sample", requested=requested, returned=returned)
-        span = tracer.span("net.collect", messages=messages,
-                           participating=participating, bits=bits)
+        span = tracer.span("net.collect", messages=plan.messages,
+                           participating=len(plan.collect.participating),
+                           bits=plan.collect.bits_total)
         end_t = ctx.sim.now + wireless_s
 
         def close(ok: bool = True) -> None:
             span.end_at(end_t, STATUS_OK if ok else STATUS_ERROR)
 
         return close
-
-    @staticmethod
-    def filter_readings(query: Query, readings: list[Reading]) -> list[Reading]:
-        """Apply value predicates (attributes the targets step skipped)."""
-        value_preds = [p for p in query.where if p.attribute in ("value", "temperature")]
-        if not value_preds:
-            return readings
-        return [r for r in readings if all(p.holds({p.attribute: r.value}) for p in value_preds)]
 
     # ------------------------------------------------------------------
     # answer computation

@@ -8,14 +8,12 @@ sources"), whose energy cost motivates everything else.
 
 from __future__ import annotations
 
-import typing
-
 from repro.queries.ast import Query
 from repro.queries.models import collection
 from repro.queries.models.base import (
     CostEstimate,
     ExecutionModel,
-    ModelOutcome,
+    Plan,
     QueryContext,
     QUERY_BITS,
     READING_BITS,
@@ -38,65 +36,21 @@ class CentralizedModel(ExecutionModel):
         """All queries are computable from raw readings at the base."""
         return True
 
-    def _pieces(self, query: Query, ctx: QueryContext, targets: list[int]):
-        flood = self._flood_cost(query, ctx)
-        collect = collection.raw_collection(ctx.deployment, targets, READING_BITS)
-        n = len(collect.participating) - 1  # minus the root
-        ops = self.compute_ops(query, ctx, n)
-        compute_s = ops / ctx.base_rate
-        result_s = ctx.deployment.radio.hop_time(RESULT_BITS)
-        return flood, collect, ops, compute_s, result_s
-
     def estimate(self, query: Query, ctx: QueryContext, targets: list[int]) -> CostEstimate:
         if not targets:
             return CostEstimate.INFEASIBLE
-        flood, collect, ops, compute_s, result_s = self._pieces(query, ctx, targets)
+        flood = self._flood_cost(query, ctx)
+        collect = collection.raw_collection(ctx.deployment, targets, READING_BITS)
         if len(collect.participating) <= 1:
             return CostEstimate.INFEASIBLE
+        ops = self.compute_ops(query, ctx, len(collect.participating) - 1)  # minus the root
+        plan = Plan(flood, collect, radio_s=flood.latency_s + collect.latency_s,
+                    compute_s=ops / ctx.base_rate,
+                    result_s=ctx.deployment.radio.hop_time(RESULT_BITS))
         return CostEstimate(
             energy_j=flood.energy_j + collect.energy_j,
-            time_s=flood.latency_s + collect.latency_s + compute_s + result_s,
+            time_s=plan.time_s,
             data_bits=collect.bits_total + QUERY_BITS,
             ops=ops,
+            plan=plan,
         )
-
-    def execute(
-        self,
-        query: Query,
-        ctx: QueryContext,
-        targets: list[int],
-        on_complete: typing.Callable[[ModelOutcome], None],
-    ) -> None:
-        est = self.estimate(query, ctx, targets)
-        if not est.feasible:
-            on_complete(ModelOutcome(False, None, self.name, 0.0, 0.0, 0.0, 0, "no reachable targets"))
-            return
-        flood, collect, ops, compute_s, result_s = self._pieces(query, ctx, targets)
-        time_factor, energy_factor = self._actual_factors(
-            ctx, collect.messages + flood.messages,
-            collection.mean_target_depth(ctx.deployment, targets),
-        )
-        self._charge(ctx, flood.per_node_energy + collect.per_node_energy, energy_factor)
-        ctx.mark_disseminated(query)
-        readings = self._sample_targets(
-            ctx, [t for t in targets if t in collect.participating]
-        )
-        readings = self.filter_readings(query, readings)
-        network_s = (flood.latency_s + collect.latency_s) * time_factor
-        total_s = network_s + compute_s + result_s
-        actual_energy = (flood.energy_j + collect.energy_j) * energy_factor
-        close_collect = self._trace_collect(
-            ctx, len(targets), len(readings), collect.messages + flood.messages,
-            len(collect.participating), network_s, bits=collect.bits_total)
-
-        def finish() -> None:
-            close_collect(bool(readings))
-            if not readings:
-                on_complete(ModelOutcome(False, None, self.name, total_s,
-                                         actual_energy, est.data_bits, 0, "no readings"))
-                return
-            value = self.compute_answer(query, ctx, readings)
-            on_complete(ModelOutcome(True, value, self.name, total_s,
-                                     actual_energy, est.data_bits, len(readings)))
-
-        ctx.sim.schedule(total_s, finish, label=f"exec:{self.name}")

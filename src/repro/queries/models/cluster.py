@@ -8,17 +8,16 @@ individual clusters and send it to the base station."
 
 from __future__ import annotations
 
-import typing
-
 from repro.network.routing.cluster import ClusterFormation
 from repro.queries.ast import Query
 from repro.queries.classifier import QueryClass, base_class
 from repro.queries.functions import is_decomposable
-from repro.queries.models import collection
 from repro.queries.models.base import (
     CostEstimate,
     ExecutionModel,
     ModelOutcome,
+    OnComplete,
+    Plan,
     QueryContext,
     QUERY_BITS,
     READING_BITS,
@@ -59,7 +58,9 @@ class ClusterModel(ExecutionModel):
             head_fraction=self.head_fraction,
         )
 
-    def _pieces(self, query: Query, ctx: QueryContext, targets: list[int]):
+    def estimate(self, query: Query, ctx: QueryContext, targets: list[int]) -> CostEstimate:
+        if not targets or not self.supports(query, ctx):
+            return CostEstimate.INFEASIBLE
         flood = self._flood_cost(query, ctx)
         formation = self._form(ctx)
         # restrict member transmissions to the targeted sensors: model the
@@ -72,60 +73,26 @@ class ClusterModel(ExecutionModel):
         cost = formation.aggregated_collection(
             READING_BITS, 128.0, ctx.deployment.radio, ctx.deployment.energy_model
         )
-        result_s = ctx.deployment.radio.hop_time(RESULT_BITS)
-        return flood, formation, cost, result_s
-
-    def estimate(self, query: Query, ctx: QueryContext, targets: list[int]) -> CostEstimate:
-        if not targets or not self.supports(query, ctx):
+        if not any(t in cost.participating for t in targets):
             return CostEstimate.INFEASIBLE
-        flood, formation, cost, result_s = self._pieces(query, ctx, targets)
-        reached = [t for t in targets if t in cost.participating]
-        if not reached:
-            return CostEstimate.INFEASIBLE
+        plan = Plan(flood, cost, radio_s=flood.latency_s + cost.latency_s,
+                    result_s=ctx.deployment.radio.hop_time(RESULT_BITS))
         return CostEstimate(
             energy_j=flood.energy_j + cost.energy_j,
-            time_s=flood.latency_s + cost.latency_s + result_s,
+            time_s=plan.time_s,
             data_bits=cost.bits_total + QUERY_BITS,
             ops=10.0 * cost.messages,
+            plan=plan,
         )
 
-    def execute(
-        self,
-        query: Query,
-        ctx: QueryContext,
-        targets: list[int],
-        on_complete: typing.Callable[[ModelOutcome], None],
-    ) -> None:
-        if not targets or not self.supports(query, ctx):
-            on_complete(ModelOutcome(False, None, self.name, 0.0, 0.0, 0.0, 0, "unsupported"))
-            return
-        flood, formation, cost, result_s = self._pieces(query, ctx, targets)
-        reached = [t for t in targets if t in cost.participating]
-        if not reached:
+    def _run_plan(self, query: Query, ctx: QueryContext, targets: list[int],
+                  estimate: CostEstimate, on_complete: OnComplete) -> None:
+        # LEACH rotation: every formation draws new heads from the
+        # clustering stream, and the rounds it runs depend on that draw
+        # order -- so execution elects afresh rather than reusing the
+        # Decision Maker's election
+        estimate = self.estimate(query, ctx, targets)
+        if not estimate.feasible:
             on_complete(ModelOutcome(False, None, self.name, 0.0, 0.0, 0.0, 0, "heads unreachable"))
             return
-        time_factor, energy_factor = self._actual_factors(
-            ctx, cost.messages + flood.messages,
-            collection.mean_target_depth(ctx.deployment, targets),
-        )
-        self._charge(ctx, flood.per_node_energy + cost.per_node_energy, energy_factor)
-        ctx.mark_disseminated(query)
-        readings = self.filter_readings(query, self._sample_targets(ctx, reached))
-        total_s = (flood.latency_s + cost.latency_s) * time_factor + result_s
-        actual_energy = (flood.energy_j + cost.energy_j) * energy_factor
-        data_bits = cost.bits_total + QUERY_BITS
-        close_collect = self._trace_collect(
-            ctx, len(targets), len(readings), cost.messages + flood.messages,
-            len(cost.participating), total_s, bits=cost.bits_total)
-
-        def finish() -> None:
-            close_collect(bool(readings))
-            if not readings:
-                on_complete(ModelOutcome(False, None, self.name, total_s,
-                                         actual_energy, data_bits, 0, "no readings"))
-                return
-            value = self.compute_answer(query, ctx, readings)
-            on_complete(ModelOutcome(True, value, self.name, total_s,
-                                     actual_energy, data_bits, len(readings)))
-
-        ctx.sim.schedule(total_s, finish, label=f"exec:{self.name}")
+        super()._run_plan(query, ctx, targets, estimate, on_complete)

@@ -9,8 +9,6 @@ interactive -- and the most data-hungry one.
 
 from __future__ import annotations
 
-import typing
-
 from repro.grid.job import ComputeJob
 from repro.queries.ast import Query
 from repro.queries.functions import COMPLEX_FUNCTIONS
@@ -19,6 +17,8 @@ from repro.queries.models.base import (
     CostEstimate,
     ExecutionModel,
     ModelOutcome,
+    OnComplete,
+    Plan,
     QueryContext,
     QUERY_BITS,
     READING_BITS,
@@ -53,85 +53,57 @@ class GridOffloadModel(ExecutionModel):
                 bits += RESULT_BITS
         return bits
 
-    def _pieces(self, query: Query, ctx: QueryContext, targets: list[int]):
-        flood = self._flood_cost(query, ctx)
-        collect = collection.raw_collection(ctx.deployment, targets, READING_BITS)
-        n = max(len(collect.participating) - 1, 0)
-        ops = self.compute_ops(query, ctx, n)
-        result_bits = self._result_bits(query, ctx)
-        job = ComputeJob(ops=ops, input_bits=collect.bits_total, output_bits=result_bits)
-        offload_s = ctx.grid.estimate_offload_time(job)
-        result_s = ctx.deployment.radio.hop_time(RESULT_BITS)
-        return flood, collect, ops, job, offload_s, result_s
-
     def estimate(self, query: Query, ctx: QueryContext, targets: list[int]) -> CostEstimate:
         if not targets:
             return CostEstimate.INFEASIBLE
-        flood, collect, ops, job, offload_s, result_s = self._pieces(query, ctx, targets)
+        flood = self._flood_cost(query, ctx)
+        collect = collection.raw_collection(ctx.deployment, targets, READING_BITS)
         if len(collect.participating) <= 1:
             return CostEstimate.INFEASIBLE
+        ops = self.compute_ops(query, ctx, len(collect.participating) - 1)
+        job = ComputeJob(ops=ops, input_bits=collect.bits_total,
+                         output_bits=self._result_bits(query, ctx))
+        plan = Plan(flood, collect, radio_s=flood.latency_s + collect.latency_s,
+                    compute_s=ctx.grid.estimate_offload_time(job),
+                    result_s=ctx.deployment.radio.hop_time(RESULT_BITS), job=job)
         return CostEstimate(
             energy_j=flood.energy_j + collect.energy_j,  # uplink is mains-powered
-            time_s=flood.latency_s + collect.latency_s + offload_s + result_s,
+            time_s=plan.time_s,
             data_bits=collect.bits_total + QUERY_BITS + job.input_bits + job.output_bits,
             ops=ops,
+            plan=plan,
         )
 
-    def execute(
-        self,
-        query: Query,
-        ctx: QueryContext,
-        targets: list[int],
-        on_complete: typing.Callable[[ModelOutcome], None],
-    ) -> None:
-        est = self.estimate(query, ctx, targets)
-        if not est.feasible:
-            on_complete(ModelOutcome(False, None, self.name, 0.0, 0.0, 0.0, 0, "no reachable targets"))
-            return
-        flood, collect, ops, job, offload_s, result_s = self._pieces(query, ctx, targets)
-        time_factor, energy_factor = self._actual_factors(
-            ctx, collect.messages + flood.messages,
-            collection.mean_target_depth(ctx.deployment, targets),
-        )
-        self._charge(ctx, flood.per_node_energy + collect.per_node_energy, energy_factor)
-        ctx.mark_disseminated(query)
-        readings = self.filter_readings(
-            query, self._sample_targets(ctx, [t for t in targets if t in collect.participating])
-        )
-        wireless_s = (flood.latency_s + collect.latency_s) * time_factor
-        actual_energy = (flood.energy_j + collect.energy_j) * energy_factor
-        close_collect = self._trace_collect(
-            ctx, len(targets), len(readings), collect.messages + flood.messages,
-            len(collect.participating), wireless_s, bits=collect.bits_total)
-
-        if not readings:
-            def fail_no_readings() -> None:
-                close_collect(False)
-                on_complete(ModelOutcome(False, None, self.name, wireless_s,
-                                         actual_energy, est.data_bits, 0, "no readings"))
-
-            ctx.sim.schedule(wireless_s, fail_no_readings, label=f"exec:{self.name}")
-            return
+    def _run_plan(self, query: Query, ctx: QueryContext, targets: list[int],
+                  estimate: CostEstimate, on_complete: OnComplete) -> None:
+        """Collect, then offload the answer to the grid; the measured
+        offload replaces the plan's estimated compute time."""
+        plan = estimate.plan
+        readings, wireless_s, energy_j, close_collect = self._collect(query, ctx, targets, estimate)
 
         def start_offload() -> None:
-            close_collect()
-            job.compute = lambda: self.compute_answer(query, ctx, readings)
+            close_collect(bool(readings))
+            if not readings:
+                on_complete(ModelOutcome(False, None, self.name, wireless_s,
+                                         energy_j, estimate.data_bits, 0, "no readings"))
+                return
+            plan.job.compute = lambda: self.compute_answer(query, ctx, readings)
             started_at = ctx.sim.now
 
             def grid_done(result) -> None:
-                total_s = wireless_s + (ctx.sim.now - started_at) + result_s
+                total_s = wireless_s + (ctx.sim.now - started_at) + plan.result_s
                 on_complete(ModelOutcome(True, result.value, self.name, total_s,
-                                         actual_energy, est.data_bits, len(readings)))
+                                         energy_j, estimate.data_bits, len(readings)))
 
             def grid_failed(reason: str) -> None:
                 # the uplink dropped (or the job died) after the decision
-                # was made -- fail cleanly with a counted reason rather
-                # than leaking an exception out of the event loop
-                ctx.deployment.monitor.counter(f"queries.failed.{reason}").add(1)
+                # was made -- fail cleanly with a typed reason (the
+                # executor counts it) rather than leaking an exception
+                # out of the event loop
                 total_s = wireless_s + (ctx.sim.now - started_at)
                 on_complete(ModelOutcome(False, None, self.name, total_s,
-                                         actual_energy, est.data_bits, len(readings), reason))
+                                         energy_j, estimate.data_bits, len(readings), reason))
 
-            ctx.grid.offload(job, grid_done, on_failure=grid_failed)
+            ctx.grid.offload(plan.job, grid_done, on_failure=grid_failed)
 
         ctx.sim.schedule(wireless_s, start_offload, label=f"exec:{self.name}")

@@ -14,6 +14,7 @@ averages, so it is *approximate*; the expected relative error shrinks as
 
 from __future__ import annotations
 
+import dataclasses
 import typing
 
 import numpy as np
@@ -26,13 +27,28 @@ from repro.queries.models import collection
 from repro.queries.models.base import (
     CostEstimate,
     ExecutionModel,
-    ModelOutcome,
+    Plan,
     QueryContext,
     QUERY_BITS,
     READING_BITS,
     RESULT_BITS,
 )
 from repro.sensors.node import Reading
+
+
+@dataclasses.dataclass
+class RegionPlan(Plan):
+    """A region plan: members relay to one representative per region,
+    whose averaged records make up :attr:`collect`."""
+
+    groups: dict[int, list[int]] = dataclasses.field(default_factory=dict)
+    reps: list[int] = dataclasses.field(default_factory=list)
+    member_energy: np.ndarray | None = None
+    member_msgs: int = 0
+
+    @property
+    def messages(self) -> int:
+        return self.member_msgs + super().messages
 
 
 class RegionAverageModel(ExecutionModel):
@@ -85,44 +101,6 @@ class RegionAverageModel(ExecutionModel):
         """One relay sensor per occupied region (lowest id: deterministic)."""
         return [min(members) for members in groups.values()]
 
-    def _pieces(self, query: Query, ctx: QueryContext, targets: list[int]):
-        groups = self._region_groups(ctx, targets)
-        reps = self._representatives(ctx, groups)
-        flood = self._flood_cost(query, ctx)
-        # members send one reading to their region representative
-        # (single-hop cluster assumption, as in LEACH), then reps send one
-        # averaged record to the base
-        topo = ctx.deployment.topology
-        em = ctx.deployment.energy_model
-        per_node = np.zeros(topo.n_nodes)
-        member_msgs = 0
-        for region, members in groups.items():
-            rep = min(members)
-            for m in members:
-                if m == rep:
-                    continue
-                d = topo.distance(m, rep)
-                per_node[m] += em.tx_cost(READING_BITS, d)
-                per_node[rep] += em.rx_cost(READING_BITS) + em.cpu_cost(10.0)
-                member_msgs += 1
-        rep_collect = collection.raw_collection(ctx.deployment, reps, READING_BITS * 2)
-        member_latency = ctx.deployment.radio.hop_time(READING_BITS)
-        # complex parts go to the grid when reachable; during an uplink
-        # outage the base station computes them instead (slower, but the
-        # regional reduction keeps the input small -- graceful degradation)
-        needs_grid = any(f in COMPLEX_FUNCTIONS for f in query.functions) and ctx.grid.online
-        n_regions = len(groups)
-        ops = self.compute_ops(query, ctx, n_regions)
-        if needs_grid:
-            job = ComputeJob(ops=ops, input_bits=rep_collect.bits_total,
-                             output_bits=COMPLEX_FUNCTIONS["DISTRIBUTION"]["output_bits_per_point"]
-                             * ctx.grid_resolution**2)
-            compute_s = ctx.grid.estimate_offload_time(job)
-        else:
-            compute_s = ops / ctx.base_rate
-        result_s = ctx.deployment.radio.hop_time(RESULT_BITS)
-        return groups, reps, flood, per_node, member_msgs, member_latency, rep_collect, ops, compute_s, result_s
-
     def _expected_rel_error(self, n_targets: int, n_regions: int) -> float:
         """Coarse error model: averaging n targets into k regions.
 
@@ -138,43 +116,68 @@ class RegionAverageModel(ExecutionModel):
     def estimate(self, query: Query, ctx: QueryContext, targets: list[int]) -> CostEstimate:
         if not targets or not self.supports(query, ctx):
             return CostEstimate.INFEASIBLE
-        (groups, reps, flood, per_node, member_msgs, member_latency,
-         rep_collect, ops, compute_s, result_s) = self._pieces(query, ctx, targets)
+        groups = self._region_groups(ctx, targets)
+        reps = self._representatives(ctx, groups)
+        flood = self._flood_cost(query, ctx)
+        # members send one reading to their region representative
+        # (single-hop cluster assumption, as in LEACH), then reps send one
+        # averaged record to the base
+        topo = ctx.deployment.topology
+        em = ctx.deployment.energy_model
+        member_energy = np.zeros(topo.n_nodes)
+        member_msgs = 0
+        for rep, members in zip(reps, groups.values()):
+            for m in members:
+                if m == rep:
+                    continue
+                d = topo.distance(m, rep)
+                member_energy[m] += em.tx_cost(READING_BITS, d)
+                member_energy[rep] += em.rx_cost(READING_BITS) + em.cpu_cost(10.0)
+                member_msgs += 1
+        rep_collect = collection.raw_collection(ctx.deployment, reps, READING_BITS * 2)
         if len(rep_collect.participating) <= 1:
             return CostEstimate.INFEASIBLE
-        energy = flood.energy_j + float(per_node.sum()) + rep_collect.energy_j
-        time = flood.latency_s + member_latency + rep_collect.latency_s + compute_s + result_s
-        bits = QUERY_BITS + member_msgs * READING_BITS + rep_collect.bits_total
+        member_latency = ctx.deployment.radio.hop_time(READING_BITS)
+        # complex parts go to the grid when reachable; during an uplink
+        # outage the base station computes them instead (slower, but the
+        # regional reduction keeps the input small -- graceful degradation)
+        needs_grid = any(f in COMPLEX_FUNCTIONS for f in query.functions) and ctx.grid.online
+        ops = self.compute_ops(query, ctx, len(groups))
+        if needs_grid:
+            job = ComputeJob(ops=ops, input_bits=rep_collect.bits_total,
+                             output_bits=COMPLEX_FUNCTIONS["DISTRIBUTION"]["output_bits_per_point"]
+                             * ctx.grid_resolution**2)
+            compute_s = ctx.grid.estimate_offload_time(job)
+        else:
+            compute_s = ops / ctx.base_rate
+        plan = RegionPlan(
+            flood, rep_collect,
+            radio_s=flood.latency_s + member_latency + rep_collect.latency_s,
+            compute_s=compute_s, result_s=ctx.deployment.radio.hop_time(RESULT_BITS),
+            groups=groups, reps=reps, member_energy=member_energy, member_msgs=member_msgs,
+        )
         return CostEstimate(
-            energy_j=energy,
-            time_s=time,
-            data_bits=bits,
+            energy_j=flood.energy_j + float(member_energy.sum()) + rep_collect.energy_j,
+            time_s=plan.time_s,
+            data_bits=QUERY_BITS + member_msgs * READING_BITS + rep_collect.bits_total,
             ops=ops,
             rel_error=self._expected_rel_error(len(targets), len(groups)),
+            plan=plan,
         )
 
-    def execute(
-        self,
-        query: Query,
-        ctx: QueryContext,
-        targets: list[int],
-        on_complete: typing.Callable[[ModelOutcome], None],
-    ) -> None:
-        est = self.estimate(query, ctx, targets)
-        if not est.feasible:
-            on_complete(ModelOutcome(False, None, self.name, 0.0, 0.0, 0.0, 0, "unsupported"))
-            return
-        (groups, reps, flood, per_node, member_msgs, member_latency,
-         rep_collect, ops, compute_s, result_s) = self._pieces(query, ctx, targets)
+    def _collect(self, query: Query, ctx: QueryContext, targets: list[int], estimate: CostEstimate):
+        """Sample every target and average per region: the readings are
+        one pseudo-reading per occupied region."""
+        plan = estimate.plan
         time_factor, energy_factor = self._actual_factors(
-            ctx, member_msgs + rep_collect.messages + flood.messages,
-            collection.mean_target_depth(ctx.deployment, reps),
+            ctx, plan.messages, collection.mean_target_depth(ctx.deployment, plan.reps),
         )
-        self._charge(ctx, flood.per_node_energy + per_node + rep_collect.per_node_energy, energy_factor)
+        self._charge(ctx, plan.flood.per_node_energy + plan.member_energy
+                     + plan.collect.per_node_energy, energy_factor)
         ctx.mark_disseminated(query)
 
         # sample all targets, then regionally average into pseudo-readings
-        readings = self.filter_readings(query, self._sample_targets(ctx, targets))
+        readings = self._sample_targets(query, ctx, targets)
         by_region: dict[int, list[Reading]] = {}
         for r in readings:
             pos = ctx.deployment.topology.position_of(r.sensor_id)
@@ -186,44 +189,25 @@ class RegionAverageModel(ExecutionModel):
             pseudo.append(Reading(sensor_id=rep, time=ctx.sim.now, value=avg,
                                   attribute=rs[0].attribute))
 
-        wireless_s = (flood.latency_s + member_latency + rep_collect.latency_s) * time_factor
-        total_s = wireless_s + compute_s + result_s
-        actual_energy = (flood.energy_j + float(per_node.sum()) + rep_collect.energy_j) * energy_factor
-        close_collect = self._trace_collect(
-            ctx, len(targets), len(readings),
-            member_msgs + rep_collect.messages + flood.messages,
-            len(rep_collect.participating), wireless_s, bits=rep_collect.bits_total)
+        wireless_s = plan.radio_s * time_factor
+        close_collect = self._trace_collect(ctx, plan, len(targets), len(readings), wireless_s)
+        return pseudo, wireless_s, estimate.energy_j * energy_factor, close_collect
 
-        def finish() -> None:
-            close_collect(bool(pseudo))
-            if not pseudo:
-                on_complete(ModelOutcome(False, None, self.name, total_s,
-                                         actual_energy, est.data_bits, 0, "no readings"))
-                return
-            query_adj = query
-            value = self._compute_regional_answer(query_adj, ctx, pseudo, groups)
-            on_complete(ModelOutcome(True, value, self.name, total_s,
-                                     actual_energy, est.data_bits, len(pseudo)))
-
-        ctx.sim.schedule(total_s, finish, label=f"exec:{self.name}")
-
-    def _compute_regional_answer(self, query: Query, ctx: QueryContext,
-                                 pseudo: list[Reading], groups: dict[int, list[int]]) -> typing.Any:
+    def _answer(self, query: Query, ctx: QueryContext,
+                pseudo: list[Reading], plan: RegionPlan) -> typing.Any:
         """Evaluate over regional averages; SUM/COUNT re-weighted by
         region populations (an unweighted sum of averages would be
         nonsense)."""
-        import numpy as _np
-
-        weights = {min(members): len(members) for members in groups.values()}
+        weights = {rep: len(members) for rep, members in zip(plan.reps, plan.groups.values())}
         answers: dict[str, typing.Any] = {}
-        values = _np.array([r.value for r in pseudo])
-        counts = _np.array([weights.get(r.sensor_id, 1) for r in pseudo], dtype=float)
+        values = np.array([r.value for r in pseudo])
+        counts = np.array([weights.get(r.sensor_id, 1) for r in pseudo], dtype=float)
         for item in query.select:
             key = str(item)
             if item.func == "AVG":
-                answers[key] = float(_np.average(values, weights=counts))
+                answers[key] = float(np.average(values, weights=counts))
             elif item.func == "SUM":
-                answers[key] = float(_np.sum(values * counts))
+                answers[key] = float(np.sum(values * counts))
             elif item.func == "COUNT":
                 answers[key] = float(counts.sum())
             else:

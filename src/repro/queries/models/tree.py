@@ -9,8 +9,6 @@ and the reason the Decision Maker exists at all.
 
 from __future__ import annotations
 
-import typing
-
 from repro.queries.ast import Query
 from repro.queries.classifier import QueryClass, base_class
 from repro.queries.functions import DECOMPOSABLE, is_decomposable
@@ -18,7 +16,7 @@ from repro.queries.models import collection
 from repro.queries.models.base import (
     CostEstimate,
     ExecutionModel,
-    ModelOutcome,
+    Plan,
     QueryContext,
     QUERY_BITS,
     RESULT_BITS,
@@ -51,67 +49,23 @@ class InNetworkTreeModel(ExecutionModel):
             bits += DECOMPOSABLE[f.upper()].state_size_bits
         return bits or 64.0  # simple query: one reading-sized record
 
-    def _pieces(self, query: Query, ctx: QueryContext, targets: list[int]):
+    def estimate(self, query: Query, ctx: QueryContext, targets: list[int]) -> CostEstimate:
+        if not targets or not self.supports(query, ctx):
+            return CostEstimate.INFEASIBLE
         flood = self._flood_cost(query, ctx)
         collect = collection.aggregated_collection(
             ctx.deployment, targets, self._partial_bits(query)
         )
-        result_s = ctx.deployment.radio.hop_time(RESULT_BITS)
-        # finalize at the base: trivial
-        return flood, collect, result_s
-
-    def estimate(self, query: Query, ctx: QueryContext, targets: list[int]) -> CostEstimate:
-        if not targets or not self.supports(query, ctx):
-            return CostEstimate.INFEASIBLE
-        flood, collect, result_s = self._pieces(query, ctx, targets)
         if len(collect.participating) <= 1:
             return CostEstimate.INFEASIBLE
+        # in-network merging produces exactly the aggregate value, so the
+        # base only finalizes (trivially) and forwards the result
+        plan = Plan(flood, collect, radio_s=flood.latency_s + collect.latency_s,
+                    result_s=ctx.deployment.radio.hop_time(RESULT_BITS))
         return CostEstimate(
             energy_j=flood.energy_j + collect.energy_j,
-            time_s=flood.latency_s + collect.latency_s + result_s,
+            time_s=plan.time_s,
             data_bits=collect.bits_total + QUERY_BITS,
             ops=10.0 * collect.messages,
+            plan=plan,
         )
-
-    def execute(
-        self,
-        query: Query,
-        ctx: QueryContext,
-        targets: list[int],
-        on_complete: typing.Callable[[ModelOutcome], None],
-    ) -> None:
-        est = self.estimate(query, ctx, targets)
-        if not est.feasible:
-            on_complete(ModelOutcome(False, None, self.name, 0.0, 0.0, 0.0, 0, "unsupported or unreachable"))
-            return
-        flood, collect, result_s = self._pieces(query, ctx, targets)
-        time_factor, energy_factor = self._actual_factors(
-            ctx, collect.messages + flood.messages,
-            collection.mean_target_depth(ctx.deployment, targets),
-        )
-        self._charge(ctx, flood.per_node_energy + collect.per_node_energy, energy_factor)
-        ctx.mark_disseminated(query)
-        readings = self._sample_targets(
-            ctx, [t for t in targets if t in collect.participating]
-        )
-        readings = self.filter_readings(query, readings)
-        total_s = (flood.latency_s + collect.latency_s) * time_factor + result_s
-        actual_energy = (flood.energy_j + collect.energy_j) * energy_factor
-        # the whole in-network convergecast (flood + aggregate + result
-        # hop) is radio time, so one span covers the full interval
-        close_collect = self._trace_collect(
-            ctx, len(targets), len(readings), collect.messages + flood.messages,
-            len(collect.participating), total_s, bits=collect.bits_total)
-
-        def finish() -> None:
-            close_collect(bool(readings))
-            if not readings:
-                on_complete(ModelOutcome(False, None, self.name, total_s,
-                                         actual_energy, est.data_bits, 0, "no readings"))
-                return
-            # in-network merging produces exactly the aggregate value
-            value = self.compute_answer(query, ctx, readings)
-            on_complete(ModelOutcome(True, value, self.name, total_s,
-                                     actual_energy, est.data_bits, len(readings)))
-
-        ctx.sim.schedule(total_s, finish, label=f"exec:{self.name}")

@@ -47,7 +47,7 @@ def run_model(model, query, ctx, targets=None):
     if targets is None:
         targets = ctx.deployment.alive_sensor_ids()
     outcomes = []
-    model.execute(query, ctx, targets, outcomes.append)
+    model.execute(query, ctx, targets, model.estimate(query, ctx, targets), outcomes.append)
     ctx.sim.run()
     return outcomes[0]
 
@@ -304,10 +304,14 @@ class TestExecution:
 
     def test_unsupported_execution_fails_cleanly(self):
         ctx = make_ctx()
+        model = InNetworkTreeModel()
+        est = model.estimate(COMPLEX_Q, ctx, ctx.deployment.alive_sensor_ids())
+        assert est is CostEstimate.INFEASIBLE and est.plan is None
         outcomes = []
-        InNetworkTreeModel().execute(COMPLEX_Q, ctx, ctx.deployment.alive_sensor_ids(), outcomes.append)
+        model.execute(COMPLEX_Q, ctx, ctx.deployment.alive_sensor_ids(), est, outcomes.append)
         ctx.sim.run()
-        assert not outcomes[0].success
+        (outcome,) = outcomes
+        assert not outcome.success and outcome.error == "infeasible"
 
     def test_region_avg_reweighted_correctly(self):
         """Weighted SUM over regions equals true sum (uniform field)."""
